@@ -4,9 +4,12 @@ The session-scoped :func:`ctx` fixture caches pre-trained artifacts on disk
 (``.cache/repro-artifacts``), so the first benchmark run pays for
 pre-training once and later runs start from the cached weights.
 
-Each benchmark writes its reproduced table to ``benchmarks/results/`` and
-prints it, so ``pytest benchmarks/ --benchmark-only -rA`` (or the saved
-files) shows the paper-style rows next to the timing table.
+Each benchmark prints its reproduced table and writes it to
+``.cache/benchmark-results/`` (git-ignored), so ``pytest benchmarks/
+--benchmark-only -rA`` (or the saved files) shows the paper-style rows next
+to the timing table.  A test run never rewrites tracked files: the
+committed snapshots in ``benchmarks/results/`` are refreshed by hand, by
+copying the saved files over them.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ import pytest
 
 from repro.experiments import ExperimentContext
 
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+RESULTS_DIR = os.path.normpath(os.path.join(
+    os.path.dirname(__file__), os.pardir, ".cache", "benchmark-results"))
 
 
 @pytest.fixture(scope="session")
@@ -27,7 +31,7 @@ def ctx() -> ExperimentContext:
 
 @pytest.fixture(scope="session")
 def save_result():
-    """Persist a TableResult under benchmarks/results/<name>.txt."""
+    """Persist a TableResult under .cache/benchmark-results/<name>.txt."""
     os.makedirs(RESULTS_DIR, exist_ok=True)
 
     def _save(name: str, result) -> None:

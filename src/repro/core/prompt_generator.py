@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graph import Graph, Subgraph, sample_data_graph
+from ..graph import Graph, Subgraph, induced_subgraph
+from ..graph.sampling import sample_node_set
 from ..graph.datapoints import Datapoint
 from ..obs.tracing import span
 from .config import GraphPrompterConfig
@@ -48,9 +49,9 @@ class PromptGenerator:
             material.append(int(datapoint.relation))
         return np.random.default_rng(material)
 
-    def subgraph_for(self, datapoint: Datapoint) -> Subgraph:
-        """Sample one data graph (Eq. 1) with the configured strategy."""
-        return sample_data_graph(
+    def node_set_for(self, datapoint: Datapoint) -> np.ndarray:
+        """Sorted node ids of the data graph (Eq. 1) — the sampler alone."""
+        return sample_node_set(
             self.graph,
             datapoint,
             num_hops=self.config.num_hops,
@@ -59,6 +60,12 @@ class PromptGenerator:
             method=self.config.sampling_method,
             engine=self.config.sampling_engine,
         )
+
+    def subgraph_for(self, datapoint: Datapoint) -> Subgraph:
+        """Sample one data graph (Eq. 1) and induce it over its node set."""
+        return induced_subgraph(self.graph, self.node_set_for(datapoint),
+                                datapoint.nodes,
+                                center_relation=datapoint.relation)
 
     def subgraphs_for(self, datapoints: list[Datapoint]) -> list[Subgraph]:
         """Sample data graphs for a list of datapoints."""

@@ -4,28 +4,27 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["CSRAdjacency", "gather_csr_rows"]
+__all__ = ["CSRAdjacency", "csr_row_slots"]
 
 
-def gather_csr_rows(indptr: np.ndarray, data: np.ndarray,
-                    rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenated ``data`` rows of a CSR; returns ``(values, lengths)``.
+def csr_row_slots(indptr: np.ndarray,
+                  rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat slot positions of ``rows`` in a CSR; returns ``(slots, lengths)``.
 
-    Flat positions: slot i of row r reads ``data[starts[r] + i -
-    first_slot_of_r]``; folding the starts and the row firsts into one
-    repeat keeps this at three kernels total.  Shared by the adjacency
-    gather, the shard partitioner's row extraction, and the sharded
-    store's per-shard gathers.
+    Slot i of row r is ``starts[r] + i``; folding the starts and the row
+    firsts into one repeat keeps this at three kernels total.  Indexing
+    any per-slot array with ``slots`` gathers those rows in row order;
+    shared by the adjacency gathers and the shard partitioner.
     """
     rows = np.asarray(rows, dtype=np.int64)
     starts = indptr[rows]
     lens = indptr[rows + 1] - starts
     total = int(lens.sum())
     if total == 0:
-        return np.empty(0, dtype=data.dtype), lens
+        return np.empty(0, dtype=np.int64), lens
     cum = np.cumsum(lens)
     shifts = np.repeat(starts - cum + lens, lens)
-    return data[np.arange(total, dtype=np.int64) + shifts], lens
+    return np.arange(total, dtype=np.int64) + shifts, lens
 
 
 class CSRAdjacency:
@@ -67,6 +66,17 @@ class CSRAdjacency:
         lo, hi = self.indptr[node], self.indptr[node + 1]
         return self.indices[lo:hi], self.edge_ids[lo:hi]
 
+    def neighbor_edges_rows(
+            self, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Batched :meth:`neighbor_edges`: ``(dst, eid, lens)`` of ``rows``.
+
+        Equal to concatenating ``neighbor_edges(u)`` over ``rows`` (row
+        order, CSR order within each row), with ``lens`` the row lengths.
+        """
+        slots, lens = csr_row_slots(self.indptr, rows)
+        return self.indices[slots], self.edge_ids[slots], lens
+
     def degree(self, node: int | None = None):
         """Out-degree of ``node``, or the full degree vector when ``None``."""
         if node is None:
@@ -89,7 +99,7 @@ class CSRAdjacency:
         if frontier.size == 1:
             node = frontier[0]
             return self.indices[self.indptr[node]:self.indptr[node + 1]]
-        return gather_csr_rows(self.indptr, self.indices, frontier)[0]
+        return self.indices[csr_row_slots(self.indptr, frontier)[0]]
 
     def visited_scratch(self) -> np.ndarray:
         """Check out an all-``False`` boolean scratch of length ``num_nodes``.

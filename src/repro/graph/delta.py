@@ -11,7 +11,8 @@ edge/node updates without rebuilding the CSR per write:
 
 The read surface is drop-in for the CSR (``neighbors`` /
 ``gather_neighbors`` / ``degree`` / ``visited_scratch`` /
-``release_scratch``, plus ``neighbor_edges`` on the directed view), which
+``release_scratch``, plus ``neighbor_edges`` / ``neighbor_edges_rows`` on
+the directed view), which
 is what lets both sampling engines — and subgraph induction — run
 unmodified over a mutated graph.
 
@@ -77,7 +78,7 @@ def _scatter_rows(src: np.ndarray, starts: np.ndarray, lens: np.ndarray,
                   out: np.ndarray, out_starts: np.ndarray) -> None:
     """Copy ``src[starts[i]:starts[i]+lens[i]]`` into
     ``out[out_starts[i]:out_starts[i]+lens[i]]`` for all ``i`` with three
-    vector kernels (same repeat trick as ``gather_csr_rows``)."""
+    vector kernels (same repeat trick as ``csr_row_slots``)."""
     if starts.size == 0:
         return
     cum = np.cumsum(lens)
@@ -416,15 +417,22 @@ class DeltaAdjacency:
             base = self.base
             return base.indices[base.indptr[node]:base.indptr[node + 1]]
         if self.tier_enabled:
-            start = int(self._side_start[node])
-            if start < 0:
-                self._reads[node] += 1
-                if self._reads[node] >= self.promote_after:
-                    self._promote(node)
-                    start = int(self._side_start[node])
+            start = self._count_read(node)
             if start >= 0:
                 return self._side_dst[start:start + int(self._side_len[node])]
         return self._row(node)
+
+    def _count_read(self, node: int) -> int:
+        """Count one tiered read of dirty ``node``: bump its read streak
+        and promote it once the streak reaches ``promote_after``.  Returns
+        the row's side-store start (``-1`` while unpromoted)."""
+        start = int(self._side_start[node])
+        if start < 0:
+            self._reads[node] += 1
+            if self._reads[node] >= self.promote_after:
+                self._promote(node)
+                start = int(self._side_start[node])
+        return start
 
     def _row(self, node: int) -> np.ndarray:
         """Row of a dirty node without touching the read counters."""
@@ -448,16 +456,66 @@ class DeltaAdjacency:
             lo, hi = base.indptr[node], base.indptr[node + 1]
             return base.indices[lo:hi], base.edge_ids[lo:hi]
         if self.tier_enabled:
-            start = int(self._side_start[node])
-            if start < 0:
-                self._reads[node] += 1
-                if self._reads[node] >= self.promote_after:
-                    self._promote(node)
-                    start = int(self._side_start[node])
+            start = self._count_read(node)
             if start >= 0:
                 end = start + int(self._side_len[node])
                 return self._side_dst[start:end], self._side_eid[start:end]
         return self._assemble_edges(node)
+
+    def neighbor_edges_rows(
+            self, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Batched :meth:`neighbor_edges`: ``(dst, eid, lens)``, row order.
+
+        Clean rows gather from the base CSR, promoted dirty rows from the
+        side store, the remaining dirty rows assemble one by one; read
+        streaks and promotions advance exactly as if ``rows`` were read
+        one at a time, in order.
+        """
+        if self.lane_mid is not None:
+            raise TypeError("neighbor_edges_rows is a directed-view query")
+        rows = np.asarray(rows, dtype=np.int64)
+        dirty = self._dirty[rows]
+        if not dirty.any():
+            return self.base.neighbor_edges_rows(rows)
+        hot = rows[dirty]
+        if self.tier_enabled:
+            for node in hot[self._side_start[hot] < 0].tolist():
+                self._count_read(node)
+        side = self._side_start[hot]
+        promoted = side >= 0
+        assembled = [self._assemble_edges(node)
+                     for node in hot[~promoted].tolist()]
+        hot_lens = self._side_len[hot]
+        hot_lens[~promoted] = [part[0].size for part in assembled]
+
+        base = self.base
+        clean = ~dirty
+        clean_starts = base.indptr[rows[clean]]
+        lens = np.empty(rows.size, dtype=np.int64)
+        lens[clean] = base.indptr[rows[clean] + 1] - clean_starts
+        lens[dirty] = hot_lens
+        ends = np.cumsum(lens)
+        out_starts = ends - lens
+        hot_out = out_starts[dirty]
+        segments = [
+            (base.indices, base.edge_ids, clean_starts, lens[clean],
+             out_starts[clean]),
+            (self._side_dst, self._side_eid, side[promoted],
+             hot_lens[promoted], hot_out[promoted])]
+        if assembled:
+            asm_lens = hot_lens[~promoted]
+            segments.append((
+                np.concatenate([part[0] for part in assembled]),
+                np.concatenate([part[1] for part in assembled]),
+                np.cumsum(asm_lens) - asm_lens, asm_lens,
+                hot_out[~promoted]))
+        dst = np.empty(int(ends[-1]), dtype=np.int64)
+        eid = np.empty(dst.size, dtype=np.int64)
+        for src_dst, src_eid, starts, seg_lens, outs in segments:
+            _scatter_rows(src_dst, starts, seg_lens, dst, outs)
+            _scatter_rows(src_eid, starts, seg_lens, eid, outs)
+        return dst, eid, lens
 
     def gather_neighbors(self, frontier: np.ndarray) -> np.ndarray:
         """Concatenated rows of ``frontier``, frontier order.

@@ -2,15 +2,20 @@
 
 Downstream users usually hold their graphs as ``networkx`` objects; these
 converters bridge them into the library (and back for inspection with the
-networkx algorithm zoo).
+networkx algorithm zoo).  networkx is imported only inside
+:func:`to_networkx`, so importing the library never loads it.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .graph import Graph
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["from_networkx", "to_networkx"]
 
@@ -87,6 +92,8 @@ def to_networkx(graph: Graph) -> "nx.MultiDiGraph":
     the full networkx algorithm suite (components, centralities, …) can be
     used for inspection.
     """
+    import networkx as nx
+
     out = nx.MultiDiGraph(name=graph.name)
     for i in range(graph.num_nodes):
         attrs = {"features": graph.node_features[i]}

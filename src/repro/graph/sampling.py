@@ -35,8 +35,9 @@ the overflow nodes with the largest node ids are dropped, so the result
 depends only on the node-id set — never on hash ordering, discovery order,
 or the Python build.
 
-:func:`sample_data_graph` wraps either strategy and returns the re-indexed
-:class:`~repro.graph.subgraph.Subgraph` for one datapoint.
+:func:`sample_node_set` runs either strategy for one datapoint;
+:func:`sample_data_graph` also induces the re-indexed
+:class:`~repro.graph.subgraph.Subgraph` over its node set.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ __all__ = [
     "bfs_neighborhood",
     "random_walk_neighborhood",
     "sample_data_graph",
+    "sample_node_set",
     "SAMPLING_ENGINES",
 ]
 
@@ -334,6 +336,28 @@ def _random_walk_vectorized(graph, seeds, num_hops, max_nodes, rng) -> np.ndarra
 # ----------------------------------------------------------------------
 # Datapoint wrapper
 # ----------------------------------------------------------------------
+def sample_node_set(
+    graph: Graph,
+    datapoint: Datapoint,
+    num_hops: int = 1,
+    max_nodes: int = 64,
+    rng: np.random.Generator | None = None,
+    method: str = "random_walk",
+    engine: str = "vectorized",
+) -> np.ndarray:
+    """Sorted node ids of one datapoint's data graph (Eq. 1), not induced."""
+    if method == "random_walk":
+        sampler = random_walk_neighborhood
+    elif method == "bfs":
+        sampler = bfs_neighborhood
+    else:
+        raise ValueError(f"unknown sampling method {method!r}")
+    if not isinstance(datapoint, (EdgeInput, NodeInput)):
+        raise TypeError(f"unsupported datapoint type {type(datapoint)!r}")
+    return sampler(graph, datapoint.nodes, num_hops, max_nodes, rng,
+                   engine=engine)
+
+
 def sample_data_graph(
     graph: Graph,
     datapoint: Datapoint,
@@ -344,20 +368,7 @@ def sample_data_graph(
     engine: str = "vectorized",
 ) -> Subgraph:
     """Contextualise one datapoint into its data graph ``G_i^D`` (Eq. 1)."""
-    if method == "random_walk":
-        sampler = random_walk_neighborhood
-    elif method == "bfs":
-        sampler = bfs_neighborhood
-    else:
-        raise ValueError(f"unknown sampling method {method!r}")
-
-    if isinstance(datapoint, EdgeInput):
-        relation = datapoint.relation
-    elif isinstance(datapoint, NodeInput):
-        relation = None
-    else:
-        raise TypeError(f"unsupported datapoint type {type(datapoint)!r}")
-    node_set = sampler(graph, datapoint.nodes, num_hops, max_nodes, rng,
-                       engine=engine)
+    node_set = sample_node_set(graph, datapoint, num_hops, max_nodes, rng,
+                               method=method, engine=engine)
     return induced_subgraph(graph, node_set, datapoint.nodes,
-                            center_relation=relation)
+                            center_relation=datapoint.relation)

@@ -90,37 +90,20 @@ def induced_subgraph(
     mapped to local ids.  Each original directed edge inside the node set is
     emitted in both directions so that message passing reaches the head from
     the tail and vice versa.
-    """
-    node_set = np.asarray(node_set, dtype=np.int64)
-    unique_nodes = np.unique(node_set)
-    local_of = {int(g): i for i, g in enumerate(unique_nodes)}
 
-    # Walk the CSR rows of the node set instead of scanning the full edge
-    # list: subgraphs are tiny (tens of nodes) while source graphs are not.
-    adj = graph.adjacency
-    src_parts, dst_parts, rel_parts = [], [], []
-    for u in unique_nodes:
-        dsts, eids = adj.neighbor_edges(int(u))
-        if dsts.size == 0:
-            continue
-        inside = np.isin(dsts, unique_nodes)
-        if not inside.any():
-            continue
-        kept_dsts = dsts[inside]
-        kept_eids = eids[inside]
-        src_parts.append(np.full(kept_dsts.size, local_of[int(u)],
-                                 dtype=np.int64))
-        dst_parts.append(np.array([local_of[int(v)] for v in kept_dsts],
-                                  dtype=np.int64))
-        rel_parts.append(graph.rel[kept_eids])
-    if src_parts:
-        src_local = np.concatenate(src_parts)
-        dst_local = np.concatenate(dst_parts)
-        rel = np.concatenate(rel_parts)
-    else:
-        src_local = np.array([], dtype=np.int64)
-        dst_local = np.array([], dtype=np.int64)
-        rel = np.array([], dtype=np.int64)
+    One batched ``neighbor_edges_rows`` read pulls the out-rows of the node
+    set (subgraphs are tiny while source graphs are not); membership and
+    local ids both come from ``searchsorted`` over the sorted node set.
+    Edges keep sorted-row order, adjacency order within each row.
+    """
+    nodes = np.unique(np.asarray(node_set, dtype=np.int64))
+    dst, eids, lens = graph.adjacency.neighbor_edges_rows(nodes)
+    src_local = np.repeat(np.arange(nodes.size, dtype=np.int64), lens)
+    dst_local = np.searchsorted(nodes, dst)
+    inside = nodes[np.minimum(dst_local, nodes.size - 1)] == dst
+    src_local = src_local[inside]
+    dst_local = dst_local[inside]
+    rel = graph.rel[eids[inside]]
 
     # Symmetrise for message passing.
     src_sym = np.concatenate([src_local, dst_local])
@@ -128,22 +111,23 @@ def induced_subgraph(
     rel_sym = np.concatenate([rel, rel])
 
     centers = np.asarray(centers, dtype=np.int64)
-    try:
-        centers_local = np.array([local_of[int(c)] for c in centers],
-                                 dtype=np.int64)
-    except KeyError as exc:
-        raise ValueError(f"center node {exc} not inside the node set") from exc
+    centers_local = np.searchsorted(nodes, centers)
+    found = centers_local < nodes.size
+    found[found] = nodes[centers_local[found]] == centers[found]
+    if not found.all():
+        raise ValueError(f"center node {int(centers[~found][0])} "
+                         "not inside the node set")
 
     rel_features = None
     if graph.relation_features is not None:
         rel_features = graph.relation_features[rel_sym]
 
     return Subgraph(
-        nodes=unique_nodes,
+        nodes=nodes,
         src=src_sym,
         dst=dst_sym,
         rel=rel_sym,
-        node_features=graph.node_features[unique_nodes],
+        node_features=graph.node_features[nodes],
         centers=centers_local,
         center_relation=center_relation,
         rel_features=rel_features,

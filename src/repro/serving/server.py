@@ -328,20 +328,19 @@ class PromptServer:
         session's subgraphs, which is what makes dependency-scoped
         invalidation sound.  Empty (free) when the graph is immutable.
 
-        This does sample each datapoint a second time (the first is
-        inside the encode pass) rather than threading node sets out of
-        the encoder: the sharded path samples inside worker processes,
-        so host-side reuse would need subgraphs shipped back across the
-        pool — a far bigger cost than re-running numpy gathers next to
-        a GNN forward.
+        Only the sampler re-runs (:meth:`PromptGenerator.node_set_for`):
+        a subgraph's node set is all this needs, so nothing is induced or
+        feature-gathered a second time.  Node sets are re-sampled rather
+        than threaded out of the encode pass because the sharded path
+        samples inside worker processes, and shipping them back across
+        the pool would cost more than the numpy gathers.
         """
         if not self._mutable:
             return set()
         generator = self.pipeline.generator
         dependencies: set[int] = set()
         for datapoint in datapoints:
-            dependencies.update(
-                generator.subgraph_for(datapoint).nodes.tolist())
+            dependencies.update(generator.node_set_for(datapoint).tolist())
         return dependencies
 
     def update_graph(self, update: GraphUpdate,

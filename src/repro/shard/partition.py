@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph.csr import CSRAdjacency, gather_csr_rows
+from ..graph.csr import CSRAdjacency, csr_row_slots
 from ..graph.graph import Graph
 
 __all__ = [
@@ -181,16 +181,14 @@ class ShardBuildContext:
         lut[ghosts] = owned.size + np.arange(ghosts.size, dtype=np.int64)
         csr = CSRAdjacency(local_nodes.size, lut[ssrc], lut[sdst])
 
-        d_slots, d_lens = gather_csr_rows(self.d_indptr, self.d_indices,
-                                          owned)
-        d_edge_ids, _ = gather_csr_rows(self.d_indptr, self.d_eids, owned)
+        slots, d_lens = csr_row_slots(self.d_indptr, owned)
         d_indptr = np.concatenate(
             [[0], np.cumsum(d_lens)]).astype(np.int64)
 
         return GraphShard(
             shard_id=k, nodes=owned, local_nodes=local_nodes,
             num_owned=int(owned.size), csr=csr, d_indptr=d_indptr,
-            d_indices=d_slots, d_edge_ids=d_edge_ids)
+            d_indices=self.d_indices[slots], d_edge_ids=self.d_eids[slots])
 
 
 def partition_graph(graph: Graph, num_shards: int,

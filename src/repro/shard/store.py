@@ -11,7 +11,7 @@ bit-identical to the monolithic adjacency's, whatever ``K``.
 
 :class:`ShardedGraphView` wraps a store in the duck-type surface of
 :class:`~repro.graph.graph.Graph` that sampling and subgraph induction
-consume (``undirected_adjacency``, ``adjacency.neighbor_edges``,
+consume (``undirected_adjacency``, ``adjacency.neighbor_edges_rows``,
 ``node_features[...]``, ``rel``, ``relation_features``), which is what
 lets ``bfs_neighborhood`` / ``random_walk_neighborhood`` /
 ``sample_data_graph`` run unchanged — both engines — on a sharded graph.
@@ -459,6 +459,39 @@ class ShardedGraphStore:
         lo, hi = shard.d_indptr[local], shard.d_indptr[local + 1]
         return shard.d_indices[lo:hi], shard.d_edge_ids[lo:hi]
 
+    def neighbor_edges_rows(
+            self, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Batched :meth:`neighbor_edges`: ``(dst, eid, lens)``, row order.
+
+        Rows are gathered shard by shard (one grouped gather per owner
+        shard touched) and scattered back into row order; each shard's
+        rows count as that many fetches, as reading them one at a time
+        would.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        owners = self.owner[rows]
+        locals_ = self.local_id[rows]
+        starts = np.empty(rows.size, dtype=np.int64)
+        lens = np.empty(rows.size, dtype=np.int64)
+        touched = np.unique(owners).tolist()
+        for k in touched:
+            member = owners == k
+            indptr = self.shards[k].d_indptr
+            self._count(k, int(member.sum()))
+            starts[member] = indptr[locals_[member]]
+            lens[member] = indptr[locals_[member] + 1] - starts[member]
+        out_starts = np.cumsum(lens) - lens
+        dst = np.empty(int(lens.sum()), dtype=np.int64)
+        eid = np.empty(dst.size, dtype=np.int64)
+        for k in touched:
+            member = owners == k
+            shard = self.shards[k]
+            for data, out in ((shard.d_indices, dst), (shard.d_edge_ids, eid)):
+                _scatter_rows(data, starts[member], lens[member], out,
+                              out_starts[member])
+        return dst, eid, lens
+
     def gather_node_features(self, nodes: np.ndarray) -> np.ndarray:
         """Feature rows of global ``nodes``, assembled across shards."""
         nodes = np.asarray(nodes, dtype=np.int64)
@@ -481,6 +514,11 @@ class _ShardedDirectedAdjacency:
 
     def neighbor_edges(self, node: int) -> tuple[np.ndarray, np.ndarray]:
         return self._store.neighbor_edges(node)
+
+    def neighbor_edges_rows(
+            self, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self._store.neighbor_edges_rows(rows)
 
 
 class _ShardedNodeRows:

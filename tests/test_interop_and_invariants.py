@@ -1,5 +1,9 @@
 """networkx interop tests and model-level invariance property tests."""
 
+import os
+import subprocess
+import sys
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -79,6 +83,19 @@ class TestToNetworkx:
         undirected = nx_graph.to_undirected()
         assert nx.number_connected_components(undirected) == 1
         assert nx.has_path(undirected, 0, 3)
+
+
+def test_import_repro_does_not_load_networkx():
+    """networkx is loaded by the converters on demand, never at import."""
+    src_root = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro; print('networkx' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"
 
 
 class TestGATMultiHead:

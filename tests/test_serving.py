@@ -518,6 +518,29 @@ class TestGraphMutationServing:
         # Component-B mutations never invalidate the component-A session.
         assert server.stats.sessions_invalidated == 0
 
+    def test_dependencies_are_the_induced_subgraph_nodes(self):
+        """Dependency tracking samples node sets without inducing them;
+        the sets equal the nodes of the subgraphs the encoder induces,
+        on the immutable base and over the mutation overlay."""
+        from repro.graph import GraphUpdate
+
+        graph, dataset, config, model = two_component_setup()
+        server = PromptServer(model, dataset, max_batch_size=4, rng=0)
+        episode = component_episode(graph, 0, 40, np.random.default_rng(4))
+        datapoints = list(episode.candidates) + list(episode.queries)
+        generator = server.pipeline.generator
+
+        def induced_nodes() -> set:
+            return {int(n) for dp in datapoints
+                    for n in generator.subgraph_for(dp).nodes}
+
+        assert server._dependencies(datapoints) == induced_nodes()
+        touched = sorted(induced_nodes())[:3]
+        server.update_graph(GraphUpdate(
+            add_src=touched[:2], add_dst=touched[1:], add_rel=[0, 1],
+            remove_edges=[0]))
+        assert server._dependencies(datapoints) == induced_nodes()
+
     def test_sharded_mutating_server_matches_monolithic(self):
         """Updates routed through the shard layer change nothing: the
         K-shard mutable server predicts exactly like the monolithic one
